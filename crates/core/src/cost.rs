@@ -246,26 +246,11 @@ impl Cost {
                 params,
                 overload,
             } => {
-                // Perspective function g(x) = x * unit(lambda/x), convex on
-                // x >= lambda when unit is convex.
-                let g = |x: f64| {
-                    if x <= 0.0 {
-                        0.0
-                    } else {
-                        x * params.unit_cost((lambda / x).clamp(0.0, 1.0))
-                    }
-                };
-                // Smallest integer state that can serve the load without
-                // overload (0 when there is no load: idle fleet costs 0).
-                let x0 = lambda.max(0.0).ceil();
-                if x >= x0 {
-                    g(x)
+                let curve = ServerCurve::new(*lambda, params);
+                if x >= curve.x0 {
+                    curve.g(x)
                 } else {
-                    // Backward linear extension with a slope steep enough to
-                    // dominate the junction slope of g, keeping convexity.
-                    let junction_drop = (g(x0) - g(x0 + 1.0)).max(0.0);
-                    let pen = overload.max(junction_drop);
-                    g(x0) + (x0 - x) * pen
+                    curve.extend(curve.junction(*overload), x)
                 }
             }
             Cost::Scaled { factor, inner } => factor * inner.eval_analytic(x),
@@ -281,22 +266,74 @@ impl Cost {
         }
     }
 
+    /// Write `f(0), f(1), ..., f(out.len() - 1)` into `out`, bit-identical
+    /// to calling [`Cost::eval`] at each state.
+    ///
+    /// This is the one-pass form the per-slot consumers use (the LCP bound
+    /// tracker adds the same table to two value vectors). Each variant's
+    /// per-slot invariants are computed once: for [`Cost::Server`] that is
+    /// the junction `ceil(lambda)` with its value and backward slope, so
+    /// every state below the junction costs one multiply-add.
+    pub fn tabulate(&self, out: &mut [f64]) {
+        match self {
+            Cost::Table(v) => {
+                // Integer states read the table directly; eval clamps to
+                // the last entry beyond it.
+                let last = v.len() - 1;
+                for (x, o) in out.iter_mut().enumerate() {
+                    *o = v[x.min(last)];
+                }
+            }
+            Cost::Server {
+                lambda,
+                params,
+                overload,
+            } => {
+                let curve = ServerCurve::new(*lambda, params);
+                let below = (curve.x0 as usize).min(out.len());
+                let (low, high) = out.split_at_mut(below);
+                if !low.is_empty() {
+                    let junction = curve.junction(*overload);
+                    for (x, o) in low.iter_mut().enumerate() {
+                        *o = curve.extend(junction, x as f64);
+                    }
+                }
+                for (x, o) in (below..).zip(high.iter_mut()) {
+                    *o = curve.g(x as f64);
+                }
+            }
+            Cost::Scaled { factor, inner } => {
+                inner.tabulate(out);
+                for o in out.iter_mut() {
+                    *o *= factor;
+                }
+            }
+            Cost::Padded { m_orig, eps, inner } => {
+                let m = *m_orig as usize;
+                if out.len() <= m + 1 {
+                    inner.tabulate(out);
+                } else {
+                    let (body, ext) = out.split_at_mut(m + 1);
+                    inner.tabulate(body);
+                    let fm = body[m];
+                    for (k, o) in (1..).zip(ext.iter_mut()) {
+                        *o = fm + k as f64 * (fm + eps);
+                    }
+                }
+            }
+            _ => {
+                for (x, o) in out.iter_mut().enumerate() {
+                    *o = self.eval(x as u32);
+                }
+            }
+        }
+    }
+
     /// The paper's continuous extension (eq. 3): linear interpolation of the
     /// integer values. For `x` outside `[0, m]` the nearest endpoint value
     /// is extended linearly using the boundary slope of zero (clamped).
     pub fn interpolate(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            return self.eval(0);
-        }
-        let lo = x.floor();
-        let hi = lo + 1.0;
-        let frac = x - lo;
-        if frac == 0.0 {
-            return self.eval(lo as u32);
-        }
-        let f_lo = self.eval(lo as u32);
-        let f_hi = self.eval(hi as u32);
-        (1.0 - frac) * f_lo + frac * f_hi
+        interpolate_with(x, |k| self.eval(k))
     }
 
     /// Verify convexity and non-negativity of the integer restriction over
@@ -360,6 +397,72 @@ impl Cost {
             }
         }
         best
+    }
+}
+
+/// Eq. 3 over integer values supplied by `value_at`: what
+/// [`Cost::interpolate`] computes, for callers that cache or tabulate the
+/// integer states themselves.
+pub fn interpolate_with(x: f64, mut value_at: impl FnMut(u32) -> f64) -> f64 {
+    if x < 0.0 {
+        return value_at(0);
+    }
+    let lo = x.floor();
+    let hi = lo + 1.0;
+    let frac = x - lo;
+    if frac == 0.0 {
+        return value_at(lo as u32);
+    }
+    let f_lo = value_at(lo as u32);
+    let f_hi = value_at(hi as u32);
+    (1.0 - frac) * f_lo + frac * f_hi
+}
+
+/// [`Cost::Server`] prepared for one slot: the perspective function and
+/// the junction below which the cost extends linearly. Both
+/// [`Cost::eval_analytic`] and [`Cost::tabulate`] evaluate through it, so
+/// the formula lives here only.
+struct ServerCurve<'a> {
+    lambda: f64,
+    params: &'a ServerParams,
+    /// Smallest integer state that can serve the load without overload
+    /// (0 when there is no load: idle fleet costs 0).
+    x0: f64,
+}
+
+impl<'a> ServerCurve<'a> {
+    fn new(lambda: f64, params: &'a ServerParams) -> Self {
+        Self {
+            lambda,
+            params,
+            x0: lambda.max(0.0).ceil(),
+        }
+    }
+
+    /// Perspective function `g(x) = x * unit(lambda/x)`, convex on
+    /// `x >= lambda` when unit is convex.
+    #[inline]
+    fn g(&self, x: f64) -> f64 {
+        if x <= 0.0 {
+            0.0
+        } else {
+            x * self.params.unit_cost((self.lambda / x).clamp(0.0, 1.0))
+        }
+    }
+
+    /// `(g(x0), slope)` of the backward linear extension below `x0`: the
+    /// slope is steep enough to dominate the junction slope of `g`,
+    /// keeping convexity.
+    fn junction(&self, overload: f64) -> (f64, f64) {
+        let g0 = self.g(self.x0);
+        let junction_drop = (g0 - self.g(self.x0 + 1.0)).max(0.0);
+        (g0, overload.max(junction_drop))
+    }
+
+    /// The extension's value at `x < x0`.
+    #[inline]
+    fn extend(&self, (g0, pen): (f64, f64), x: f64) -> f64 {
+        g0 + (self.x0 - x) * pen
     }
 }
 

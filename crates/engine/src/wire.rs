@@ -2412,4 +2412,35 @@ mod tests {
         assert!(out2[0].contains("restored"), "{}", out2[0]);
         assert_eq!(session2.engine().report("a").unwrap().committed, 4);
     }
+
+    #[test]
+    fn fractional_tenants_leave_an_infeasible_start_under_a_load_cost() {
+        // Restricted-model cost, infeasible (+inf) below 8 of 10 servers:
+        // the fractional policies must climb out of the infeasible prefix
+        // rather than stay at x = 0 at infinite cost.
+        let cost = r#"{"Load":{"lambda":8.0,"unit":{"Affine":{"base":1.0,"slope":1.0}}}}"#;
+        let mut lines = Vec::new();
+        for (id, policy) in [("h", "halfstep"), ("b", "memoryless")] {
+            lines.push(format!(
+                r#"{{"op":"admit","id":"{id}","m":10,"beta":2.0,"policy":"{policy}"}}"#
+            ));
+            for _ in 0..3 {
+                lines.push(format!(r#"{{"op":"step","id":"{id}","cost":{cost}}}"#));
+            }
+            lines.push(format!(r#"{{"op":"report","id":"{id}"}}"#));
+        }
+        let mut session = Session::new(crate::Engine::new(crate::EngineConfig::with_shards(1)));
+        let out = session.handle_lines(lines.iter().map(|s| s.as_str()));
+        let reports: Vec<serde::Value> = out
+            .iter()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .filter(|v: &serde::Value| v["op"] == "report")
+            .collect();
+        assert_eq!(reports.len(), 2, "{out:?}");
+        for r in &reports {
+            let operating = r["report"]["breakdown"]["operating"].as_f64();
+            assert!(operating.is_some_and(f64::is_finite), "{r:?}");
+            assert!(r["report"]["last_state"].as_u64().unwrap() >= 8, "{r:?}");
+        }
+    }
 }

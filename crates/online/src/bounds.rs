@@ -64,7 +64,36 @@ impl BoundTracker {
     }
 
     /// Incorporate the next cost function; `O(m)`.
+    ///
+    /// One step is two relax scans (eq. 11 into `\hat C^L`, eq. 12 into
+    /// `\hat C^U`) and **one** tabulation of `f` over `0..=m`, whose table
+    /// is added to both relaxed vectors. The table lives in `scratch`,
+    /// which holds only the previous, dead value vector once both relaxed
+    /// vectors have been swapped in, so `f` is evaluated once per state
+    /// and the tracker needs no buffer beyond the ones it always had.
     pub fn step(&mut self, f: &Cost) {
+        self.tau += 1;
+
+        relax(&self.c_low, self.beta, &mut self.scratch, &mut self.parent);
+        std::mem::swap(&mut self.c_low, &mut self.scratch);
+        relax_down(&self.c_up, self.beta, &mut self.scratch, &mut self.parent);
+        std::mem::swap(&mut self.c_up, &mut self.scratch);
+
+        f.tabulate(&mut self.scratch);
+        for ((l, u), &fx) in self.c_low.iter_mut().zip(&mut self.c_up).zip(&self.scratch) {
+            *l += fx;
+            *u += fx;
+        }
+
+        self.x_low = smallest_argmin(&self.c_low);
+        self.x_up = largest_argmin(&self.c_up);
+    }
+
+    /// Per-point form of [`step`](Self::step): `f` evaluated at every
+    /// state in each relax pass. The oracle the tabulated step is checked
+    /// against bit for bit.
+    #[cfg(test)]
+    pub(crate) fn step_per_point(&mut self, f: &Cost) {
         self.tau += 1;
 
         relax(&self.c_low, self.beta, &mut self.scratch, &mut self.parent);

@@ -15,6 +15,7 @@
 
 use crate::bounds::BoundTracker;
 use crate::traits::FractionalAlgorithm;
+use rsdc_core::cost::interpolate_with;
 use rsdc_core::prelude::*;
 
 /// Fractional LCP on a `1/k` grid over `[0, m]`.
@@ -87,9 +88,12 @@ impl GridLcp {
 
 impl FractionalAlgorithm for GridLcp {
     fn step(&mut self, f: &Cost) -> f64 {
-        // Present the interpolated cost on the fine grid to the tracker.
+        // Present the interpolated cost on the fine grid to the tracker,
+        // evaluating f once per integer state.
+        let mut coarse = vec![0.0; self.m as usize + 1];
+        f.tabulate(&mut coarse);
         let vals: Vec<f64> = (0..=self.m * self.k)
-            .map(|i| f.interpolate(i as f64 / self.k as f64))
+            .map(|i| interpolate_with(i as f64 / self.k as f64, |j| coarse[j as usize]))
             .collect();
         let fine = Cost::table(vals);
         self.tracker.step(&fine);

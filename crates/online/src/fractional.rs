@@ -26,6 +26,7 @@
 //! `[0, m]`.
 
 use crate::traits::FractionalAlgorithm;
+use rsdc_core::cost::interpolate_with;
 use rsdc_core::prelude::*;
 
 /// How a fractional algorithm reads the arriving cost function.
@@ -38,30 +39,103 @@ pub enum EvalMode {
     Interpolate,
 }
 
-impl EvalMode {
-    fn eval(self, f: &Cost, x: f64) -> f64 {
-        match self {
-            EvalMode::Analytic => f.eval_analytic(x),
-            EvalMode::Interpolate => f.interpolate(x),
+/// One slot's cost function as a fractional algorithm reads it in a given
+/// [`EvalMode`].
+///
+/// In [`EvalMode::Interpolate`] the integer values behind eq. 3 are read
+/// through a 64-slot direct-mapped memo that lives on the stack for the
+/// duration of one policy step, so each integer state is evaluated about
+/// once however often the searches below probe around it. The memo returns
+/// exactly what [`Cost::eval`] returns, so every result is bit-identical
+/// to per-point evaluation.
+struct SlotCost<'a> {
+    f: &'a Cost,
+    mode: EvalMode,
+    keys: [u64; MEMO_SLOTS],
+    vals: [f64; MEMO_SLOTS],
+}
+
+const MEMO_SLOTS: usize = 64;
+
+impl<'a> SlotCost<'a> {
+    fn new(mode: EvalMode, f: &'a Cost) -> Self {
+        Self {
+            f,
+            mode,
+            // No u32 state maps to u64::MAX: every slot starts empty.
+            keys: [u64::MAX; MEMO_SLOTS],
+            vals: [0.0; MEMO_SLOTS],
+        }
+    }
+
+    fn eval(&mut self, x: f64) -> f64 {
+        match self.mode {
+            EvalMode::Analytic => self.f.eval_analytic(x),
+            EvalMode::Interpolate => {
+                let (f, keys, vals) = (self.f, &mut self.keys, &mut self.vals);
+                interpolate_with(x, |k| {
+                    let slot = k as usize % MEMO_SLOTS;
+                    if keys[slot] != k as u64 {
+                        keys[slot] = k as u64;
+                        vals[slot] = f.eval(k);
+                    }
+                    vals[slot]
+                })
+            }
         }
     }
 
     /// Continuous minimizer of the convex function over `[0, m]` by ternary
     /// search (exact enough for piecewise-linear/quadratic shapes).
-    fn argmin(self, f: &Cost, m: f64) -> f64 {
+    ///
+    /// Each iteration is a function of `(lo, hi)` alone, so the first
+    /// iteration that leaves the interval unchanged is a fixed point and
+    /// the search stops there: the result is bit-identical to running any
+    /// number of further iterations (200 remain the cap). At `m = 256`
+    /// the fixed point comes after about 90 iterations; an interval
+    /// closing in on 0 instead shrinks through subnormals and runs to the
+    /// cap, on the same few memoized integers.
+    ///
+    /// When both probes are `+inf` they lie in the infeasible prefix of a
+    /// restricted-model cost such as [`Cost::Load`] (infinite values may
+    /// only form a prefix, see [`Cost::check_convex`]), so the interval
+    /// moves right past them; `inf <= inf` would instead steer the search
+    /// into the infeasible side.
+    ///
+    /// The search is deliberately not replaced by a closed-form or
+    /// exact-integer minimizer: the search's `f64` feeds the rounding stage,
+    /// where an exactly integral state takes the deterministic branch and
+    /// skips an RNG draw, which would shift every later rounding decision.
+    fn argmin(&mut self, m: f64) -> f64 {
         let mut lo = 0.0f64;
         let mut hi = m;
-        for _ in 0..200 {
+        for _ in 0..SEARCH_ITERS {
             let a = lo + (hi - lo) / 3.0;
             let b = hi - (hi - lo) / 3.0;
-            if self.eval(f, a) <= self.eval(f, b) {
-                hi = b;
+            let (fa, fb) = (self.eval(a), self.eval(b));
+            let next = if fa == f64::INFINITY && fb == f64::INFINITY {
+                (b, hi)
+            } else if fa <= fb {
+                (lo, b)
             } else {
-                lo = a;
+                (a, hi)
+            };
+            if same_interval(next, (lo, hi)) {
+                break;
             }
+            (lo, hi) = next;
         }
         0.5 * (lo + hi)
     }
+}
+
+/// Iteration cap of the ternary search and the bisection; each stops
+/// earlier if it reaches its fixed point first.
+const SEARCH_ITERS: usize = 200;
+
+/// Bitwise interval equality: the fixed-point test of both searches.
+fn same_interval(a: (f64, f64), b: (f64, f64)) -> bool {
+    a.0.to_bits() == b.0.to_bits() && a.1.to_bits() == b.1.to_bits()
 }
 
 /// The half-subgradient fractional algorithm (see module docs).
@@ -97,12 +171,13 @@ impl HalfStep {
 
 impl FractionalAlgorithm for HalfStep {
     fn step(&mut self, f: &Cost) -> f64 {
-        let target = self.mode.argmin(f, self.m);
+        let mut slot = SlotCost::new(self.mode, f);
+        let target = slot.argmin(self.m);
         let dist = (target - self.state).abs();
         if dist > 1e-15 {
             // Average slope of f between the current state and the
             // minimizer; for phi-shaped functions this is the slope.
-            let drop = (self.mode.eval(f, self.state) - self.mode.eval(f, target)).max(0.0);
+            let drop = (slot.eval(self.state) - slot.eval(target)).max(0.0);
             let avg_slope = drop / dist;
             // Move by slope / beta, never past the minimizer. With the
             // symmetric convention (beta/2 per direction) this is the
@@ -211,10 +286,11 @@ impl FractionalAlgorithm for Obd {
 /// Find the point `x` on the segment from `from` toward the minimizer of
 /// `f` where `f(x) = gamma * move_rate * |x - from|`, or the minimizer if
 /// the hitting cost never drops that low. Bisection on the convex
-/// difference.
+/// difference, stopped at its fixed point like [`SlotCost::argmin`].
 fn balance_point(mode: EvalMode, f: &Cost, from: f64, m: f64, move_rate: f64, gamma: f64) -> f64 {
-    let target = mode.argmin(f, m);
-    let h = |x: f64| mode.eval(f, x) - gamma * move_rate * (x - from).abs();
+    let mut slot = SlotCost::new(mode, f);
+    let target = slot.argmin(m);
+    let mut h = |x: f64| slot.eval(x) - gamma * move_rate * (x - from).abs();
     if h(from) <= 0.0 {
         // Already cheap enough: don't move.
         return from;
@@ -225,21 +301,130 @@ fn balance_point(mode: EvalMode, f: &Cost, from: f64, m: f64, move_rate: f64, ga
     }
     // h changes sign on [from, target]; h is continuous.
     let (mut lo, mut hi) = (from, target);
-    for _ in 0..200 {
+    for _ in 0..SEARCH_ITERS {
         let mid = 0.5 * (lo + hi);
-        if h(mid) > 0.0 {
-            lo = mid;
-        } else {
-            hi = mid;
+        let next = if h(mid) > 0.0 { (mid, hi) } else { (lo, mid) };
+        if same_interval(next, (lo, hi)) {
+            break;
         }
+        (lo, hi) = next;
     }
     0.5 * (lo + hi)
+}
+
+/// Per-point form of the fractional searches: every probe evaluates `f`
+/// afresh and both searches run all 200 iterations. The oracle the
+/// memoized, fixed-point searches are checked against bit for bit; the
+/// ternary search applies the same infeasible-prefix rule.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::EvalMode;
+    use rsdc_core::prelude::*;
+
+    fn eval(mode: EvalMode, f: &Cost, x: f64) -> f64 {
+        match mode {
+            EvalMode::Analytic => f.eval_analytic(x),
+            EvalMode::Interpolate => f.interpolate(x),
+        }
+    }
+
+    /// 200-iteration ternary search.
+    pub(crate) fn argmin(mode: EvalMode, f: &Cost, m: f64) -> f64 {
+        let mut lo = 0.0f64;
+        let mut hi = m;
+        for _ in 0..200 {
+            let a = lo + (hi - lo) / 3.0;
+            let b = hi - (hi - lo) / 3.0;
+            let (fa, fb) = (eval(mode, f, a), eval(mode, f, b));
+            if fa == f64::INFINITY && fb == f64::INFINITY {
+                lo = b;
+            } else if fa <= fb {
+                hi = b;
+            } else {
+                lo = a;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    /// One [`HalfStep`](super::HalfStep) step from `state`.
+    pub(crate) fn halfstep(mode: EvalMode, f: &Cost, state: f64, m: f64, beta: f64) -> f64 {
+        let target = argmin(mode, f, m);
+        let dist = (target - state).abs();
+        if dist <= 1e-15 {
+            return state;
+        }
+        let drop = (eval(mode, f, state) - eval(mode, f, target)).max(0.0);
+        let step = (drop / dist / beta).min(dist);
+        (state + step * (target - state).signum()).clamp(0.0, m)
+    }
+
+    /// 200-iteration bisection of [`balance_point`](super::balance_point).
+    pub(crate) fn balance_point(
+        mode: EvalMode,
+        f: &Cost,
+        from: f64,
+        m: f64,
+        move_rate: f64,
+        gamma: f64,
+    ) -> f64 {
+        let target = argmin(mode, f, m);
+        let h = |x: f64| eval(mode, f, x) - gamma * move_rate * (x - from).abs();
+        if h(from) <= 0.0 {
+            return from;
+        }
+        if h(target) >= 0.0 {
+            return target;
+        }
+        let (mut lo, mut hi) = (from, target);
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if h(mid) > 0.0 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::traits::run_frac;
+
+    /// Restricted-model cost with an infeasible prefix `x < 8` at `m = 10`.
+    fn load_with_infeasible_prefix() -> Cost {
+        Cost::load(
+            8.0,
+            Unit::Affine {
+                base: 1.0,
+                slope: 1.0,
+            },
+        )
+    }
+
+    #[test]
+    fn fractional_policies_leave_an_infeasible_start() {
+        // Both first probes (10/3, 20/3) are infeasible; the search must
+        // move right past them instead of collapsing onto x = 0.
+        let f = load_with_infeasible_prefix();
+        for mode in [EvalMode::Analytic, EvalMode::Interpolate] {
+            let target = SlotCost::new(mode, &f).argmin(10.0);
+            assert!((target - 8.0).abs() < 1e-9, "{mode:?}: argmin {target}");
+
+            let mut hs = HalfStep::new(10, 2.0, mode);
+            let mut mb = MemorylessBalance::new(10, 2.0, mode);
+            for _ in 0..3 {
+                let (x_hs, x_mb) = (hs.step(&f), mb.step(&f));
+                for (name, x) in [("HalfStep", x_hs), ("MemorylessBalance", x_mb)] {
+                    let cost = SlotCost::new(mode, &f).eval(x);
+                    assert!(cost.is_finite(), "{mode:?} {name}: x = {x}, cost {cost}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn halfstep_matches_algorithm_b_on_phi_functions() {

@@ -50,6 +50,9 @@ pub mod randomized;
 pub mod streaming;
 pub mod traits;
 
+#[cfg(test)]
+mod step_differential;
+
 pub use lcp::Lcp;
 pub use streaming::StreamingPolicy;
 pub use traits::{FractionalAlgorithm, LookaheadAlgorithm, OnlineAlgorithm};
