@@ -22,6 +22,11 @@
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
+/// The largest [`Cost::Padded`] boundary [`Cost::validate`] accepts:
+/// `2^24` states, far beyond any fleet a dense per-state value vector
+/// can track.
+pub const MAX_PADDED_STATE: u32 = 1 << 24;
+
 /// Parameters of the Lin et al. style per-server cost used by the data-center
 /// workload builders: energy plus a queueing-delay penalty.
 ///
@@ -59,6 +64,19 @@ impl Default for ServerParams {
 }
 
 impl ServerParams {
+    /// Check that every parameter is finite (see [`Cost::validate`]).
+    pub fn validate(&self) -> Result<(), String> {
+        all_finite(
+            "ServerParams",
+            &[
+                ("e_idle", self.e_idle),
+                ("e_peak", self.e_peak),
+                ("delay_weight", self.delay_weight),
+                ("delay_eps", self.delay_eps),
+            ],
+        )
+    }
+
     /// Cost of a single server running at utilisation `rho` (clamped to
     /// `[0, 1]`).
     #[inline]
@@ -336,6 +354,79 @@ impl Cost {
         interpolate_with(x, |k| self.eval(k))
     }
 
+    /// Check that this cost can be evaluated at all: every table is
+    /// non-empty, every parameter (table entries included) is finite and
+    /// every [`Cost::Padded`] boundary is at most [`MAX_PADDED_STATE`].
+    /// Costs decoded from untrusted input must pass this before anything
+    /// evaluates them; it says nothing about convexity (see
+    /// [`Cost::check_convex`]).
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            Cost::Zero => Ok(()),
+            Cost::Const(c) => all_finite("Const", &[("value", *c)]),
+            Cost::Abs { slope, center } => {
+                all_finite("Abs", &[("slope", *slope), ("center", *center)])
+            }
+            Cost::Quadratic { a, center, offset } => all_finite(
+                "Quadratic",
+                &[("a", *a), ("center", *center), ("offset", *offset)],
+            ),
+            Cost::Linear { intercept, slope } => {
+                all_finite("Linear", &[("intercept", *intercept), ("slope", *slope)])
+            }
+            Cost::Hinge {
+                knee,
+                left_slope,
+                right_slope,
+            } => all_finite(
+                "Hinge",
+                &[
+                    ("knee", *knee),
+                    ("left_slope", *left_slope),
+                    ("right_slope", *right_slope),
+                ],
+            ),
+            Cost::Table(v) if v.is_empty() => Err("Table must have at least one entry".into()),
+            Cost::Table(v) => match v.iter().position(|x| !x.is_finite()) {
+                Some(i) => Err(format!("Table entry {i} must be finite, got {}", v[i])),
+                None => Ok(()),
+            },
+            Cost::Load { lambda, unit } => {
+                all_finite("Load", &[("lambda", *lambda)])?;
+                match unit {
+                    Unit::AbsAffine { scale, c0, c1 } => {
+                        all_finite("AbsAffine", &[("scale", *scale), ("c0", *c0), ("c1", *c1)])
+                    }
+                    Unit::Affine { base, slope } => {
+                        all_finite("Affine", &[("base", *base), ("slope", *slope)])
+                    }
+                    Unit::Server(params) => params.validate(),
+                }
+            }
+            Cost::Server {
+                lambda,
+                params,
+                overload,
+            } => {
+                all_finite("Server", &[("lambda", *lambda), ("overload", *overload)])?;
+                params.validate()
+            }
+            Cost::Scaled { factor, inner } => {
+                all_finite("Scaled", &[("factor", *factor)])?;
+                inner.validate()
+            }
+            Cost::Padded { m_orig, eps, inner } => {
+                if *m_orig > MAX_PADDED_STATE {
+                    return Err(format!(
+                        "Padded.m_orig must be at most {MAX_PADDED_STATE}, got {m_orig}"
+                    ));
+                }
+                all_finite("Padded", &[("eps", *eps)])?;
+                inner.validate()
+            }
+        }
+    }
+
     /// Verify convexity and non-negativity of the integer restriction over
     /// `0..=m`, allowing an infinite prefix (infeasible low states in the
     /// restricted model). Returns `Err` with a human-readable reason.
@@ -463,6 +554,14 @@ impl<'a> ServerCurve<'a> {
     #[inline]
     fn extend(&self, (g0, pen): (f64, f64), x: f64) -> f64 {
         g0 + (self.x0 - x) * pen
+    }
+}
+
+/// `Ok` when every named parameter of `what` is finite.
+fn all_finite(what: &str, params: &[(&str, f64)]) -> Result<(), String> {
+    match params.iter().find(|(_, v)| !v.is_finite()) {
+        Some((name, v)) => Err(format!("{what}.{name} must be finite, got {v}")),
+        None => Ok(()),
     }
 }
 
@@ -639,5 +738,85 @@ mod tests {
         let s = serde_json::to_string(&c).unwrap();
         let back: Cost = serde_json::from_str(&s).unwrap();
         assert_eq!(c, back);
+    }
+
+    #[test]
+    fn validate_accepts_well_formed_costs_and_rejects_unevaluable_ones() {
+        let server = ServerParams::default();
+        let valid = [
+            Cost::Zero,
+            Cost::Const(2.0),
+            Cost::abs(1.0, 3.0),
+            Cost::quadratic(0.5, 2.0, 1.0),
+            Cost::Linear {
+                intercept: 1.0,
+                slope: 0.5,
+            },
+            Cost::Hinge {
+                knee: 2.0,
+                left_slope: 1.0,
+                right_slope: 3.0,
+            },
+            Cost::table(vec![3.0, 1.0, 2.0]),
+            Cost::load(
+                2.0,
+                Unit::AbsAffine {
+                    scale: 1.0,
+                    c0: 1.0,
+                    c1: 2.0,
+                },
+            ),
+            Cost::load(
+                2.0,
+                Unit::Affine {
+                    base: 1.0,
+                    slope: 1.0,
+                },
+            ),
+            Cost::load(2.0, Unit::Server(server)),
+            Cost::Server {
+                lambda: 3.5,
+                params: server,
+                overload: 4.0,
+            },
+            Cost::abs(1.0, 2.0).scaled(0.5),
+            Cost::Padded {
+                m_orig: MAX_PADDED_STATE,
+                eps: 0.5,
+                inner: Box::new(Cost::table(vec![1.0])),
+            },
+        ];
+        for c in &valid {
+            assert_eq!(c.validate(), Ok(()), "{c:?}");
+        }
+        let invalid = [
+            Cost::table(Vec::new()),
+            Cost::table(vec![1.0, f64::INFINITY]),
+            Cost::Const(f64::NAN),
+            Cost::abs(f64::INFINITY, 0.0),
+            Cost::quadratic(1.0, f64::NEG_INFINITY, 0.0),
+            Cost::load(f64::INFINITY, Unit::Server(server)),
+            Cost::load(
+                1.0,
+                Unit::Server(ServerParams {
+                    delay_eps: f64::NAN,
+                    ..server
+                }),
+            ),
+            Cost::table(Vec::new()).scaled(2.0),
+            Cost::Padded {
+                m_orig: MAX_PADDED_STATE + 1,
+                eps: 0.5,
+                inner: Box::new(Cost::Zero),
+            },
+            Cost::Padded {
+                m_orig: 3,
+                eps: 0.5,
+                inner: Box::new(Cost::table(Vec::new())),
+            },
+        ];
+        for c in &invalid {
+            assert!(c.validate().is_err(), "{c:?}");
+        }
     }
 }

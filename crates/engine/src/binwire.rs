@@ -413,11 +413,10 @@ impl<'a> BodyWriter<'a> {
 // ---- binary server session ----
 
 use crate::wire::{
-    error_reply_line, parse_record, stepped_states_line, PendingStep, Record, Reply, Session,
-    WireError,
+    decode_cost, error_reply_line, parse_record, stepped_states_line, PendingStep, Record, Reply,
+    Session, WireError,
 };
 use rsdc_core::Cost;
-use serde::Deserialize;
 
 /// Connection lifecycle of a [`BinSession`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -765,8 +764,7 @@ fn decode_request(tag: u8, body: &[u8]) -> Result<Req<'_>, String> {
                 .map_err(|_| format!("frame tag {tag:#04x}: cost is not valid UTF-8"))?;
             let v: serde::Value = serde_json::from_str(text)
                 .map_err(|e| WireError(format!("bad cost: {e}")).to_string())?;
-            let cost = Cost::from_value(&v)
-                .map_err(|e| WireError(format!("bad cost: {e}")).to_string())?;
+            let cost = decode_cost(&v).map_err(|e| e.to_string())?;
             Ok(Req::Step {
                 id,
                 cost: Some(cost),

@@ -7,7 +7,7 @@
 //! already-priced [`Cost`] of every event — recovery never re-prices loads,
 //! so it is independent of per-tenant cost models.
 
-use crate::shard::ShardMeta;
+use crate::shard::{LoadTotals, ShardMeta};
 use crate::tenant::{TenantConfig, TenantSnapshot};
 use rsdc_core::Cost;
 use serde::{Deserialize, Serialize};
@@ -118,6 +118,9 @@ impl CheckpointDoc {
     /// Decode a checkpoint payload. Documents written before the ring
     /// existed carry no `vnodes` field; they decode with the default ring
     /// density rather than making pre-ring data dirs unrecoverable.
+    /// Documents written before shards kept running load totals carry
+    /// every metered slot as `metrics.records`; those fold into the
+    /// totals here.
     pub fn decode(bytes: &[u8]) -> Result<CheckpointDoc, String> {
         let text = std::str::from_utf8(bytes).map_err(|e| format!("checkpoint not UTF-8: {e}"))?;
         let mut v: serde::Value =
@@ -129,9 +132,52 @@ impl CheckpointDoc {
                     serde_json::to_value(&crate::ring::DEFAULT_VNODES),
                 ));
             }
+            for (key, metas) in entries.iter_mut() {
+                if let ("shard_meta", serde::Value::Array(metas)) = (key.as_str(), metas) {
+                    for meta in metas.iter_mut() {
+                        fold_legacy_records(meta)?;
+                    }
+                }
+            }
         }
         CheckpointDoc::from_value(&v).map_err(|e| format!("bad checkpoint: {e}"))
     }
+}
+
+/// Replace a legacy `{"metrics":{"records":[...]}}` shard meta's per-slot
+/// records with their [`LoadTotals`], re-metered in record order from each
+/// record's `committed` servers, `load` and `woken` — the meter's inputs,
+/// so the recovered shard reports the exact stats the writer reported.
+/// (That writer's meter derived each record's `dropped` from the same
+/// inputs and set its `power` to `committed` and `wake_energy` to 0, so
+/// the committed sum is its energy total too.)
+fn fold_legacy_records(meta: &mut serde::Value) -> Result<(), String> {
+    let serde::Value::Object(fields) = meta else {
+        return Ok(());
+    };
+    let Some((_, metrics)) = fields.iter_mut().find(|(k, _)| k == "metrics") else {
+        return Ok(());
+    };
+    let Some(records) = metrics.get("records").and_then(|r| r.as_array()) else {
+        return Ok(());
+    };
+    let mut totals = LoadTotals::default();
+    for record in records {
+        let count = |key: &str| {
+            record
+                .get(key)
+                .and_then(|x| x.as_u64())
+                .and_then(|n| u32::try_from(n).ok())
+                .ok_or_else(|| format!("bad checkpoint: metrics record without {key:?}"))
+        };
+        let load = record
+            .get("load")
+            .and_then(|x| x.as_f64())
+            .ok_or_else(|| "bad checkpoint: metrics record without \"load\"".to_string())?;
+        totals.record(count("committed")?, load, count("woken")?);
+    }
+    *metrics = serde_json::to_value(&totals);
+    Ok(())
 }
 
 #[cfg(test)]

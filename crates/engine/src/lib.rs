@@ -56,9 +56,10 @@
 //!   accumulated load-imbalance cost provably exceeds the migration's
 //!   switching cost.
 //! * **Accounting** reuses [`rsdc_core::analysis`] (cost breakdowns,
-//!   schedule statistics with identical phase semantics) and
-//!   [`rsdc_sim::metrics`] (shard-level load/energy aggregation), all
-//!   maintained incrementally in O(1) per event.
+//!   schedule statistics with identical phase semantics), maintained
+//!   incrementally in O(1) per event. Each shard keeps its load/energy
+//!   aggregates as O(1) running totals ([`shard::LoadTotals`]), so
+//!   neither memory nor checkpoints grow with stream length.
 //! * **Snapshots** ([`tenant::TenantSnapshot`]) capture the *complete*
 //!   tenant state — policy value functions, fractional states, rounder RNG
 //!   words, lookahead buffers and the running accounting — so a tenant

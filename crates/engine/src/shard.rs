@@ -17,7 +17,6 @@ use crate::obs::{EngineObs, ShardObs};
 use crate::statelist::StateList;
 use crate::tenant::{StepScratch, Tenant, TenantConfig, TenantReport, TenantSnapshot};
 use crate::EngineError;
-use rsdc_sim::metrics::{Metrics, SlotRecord};
 use rsdc_store::Durability;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -27,7 +26,7 @@ use std::time::Instant;
 
 /// One streamed event: a tenant id (shared, interned), its slab key, the
 /// next cost function, and (when the event was derived from a load) the
-/// offered load — which feeds the shard-level [`Metrics`].
+/// offered load — which feeds the shard-level [`LoadTotals`].
 #[derive(Debug)]
 pub struct Event {
     /// Original position in the caller's batch (used to reassemble replies
@@ -62,7 +61,8 @@ pub struct StepOutcome {
     pub error: Option<String>,
 }
 
-/// Aggregate statistics for one shard.
+/// Aggregate statistics for one shard. The load-aware fields are read in
+/// O(1) from the shard's [`LoadTotals`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShardStats {
     /// Shard index.
@@ -85,10 +85,89 @@ pub struct ShardStats {
     pub total_wakes: u32,
 }
 
+/// Running totals of a shard's load-aware slots: everything the
+/// load-aware half of [`ShardStats`] reports, in a fixed few numbers
+/// however long the stream runs.
+///
+/// Each commit that carries a load adds one slot under a logical-fleet
+/// model: 1 power unit per committed server per slot, "serving" equal to
+/// the committed state — so the committed-server sum is also the energy
+/// total. Every `f64` total is a left fold in commit order starting from
+/// `-0.0` (the identity `Sum for f64` folds from), so the derived stats
+/// are bit-identical to summing the per-slot values.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct LoadTotals {
+    /// Load-aware slots recorded.
+    pub slots: u64,
+    /// Offered load.
+    pub load: f64,
+    /// Load dropped for lack of committed servers.
+    pub dropped: f64,
+    /// Committed servers summed over slots (the energy proxy).
+    pub committed: f64,
+    /// Power-up events.
+    pub wakes: u32,
+}
+
+impl Default for LoadTotals {
+    fn default() -> Self {
+        Self {
+            slots: 0,
+            load: -0.0,
+            dropped: -0.0,
+            committed: -0.0,
+            wakes: 0,
+        }
+    }
+}
+
+impl LoadTotals {
+    /// Meter one committed slot: `state` servers facing `load`, `ups` of
+    /// them powered up entering the slot.
+    pub fn record(&mut self, state: u32, load: f64, ups: u32) {
+        let x = state as f64;
+        self.slots += 1;
+        self.load += load;
+        self.dropped += (load - x).max(0.0);
+        self.committed += x;
+        self.wakes += ups;
+    }
+
+    /// Fold another shard's totals into these. Counts and the
+    /// integer-valued committed sum stay exact; the load sums add
+    /// per-shard subtotals, so `drop_rate` may move in the last ulps.
+    pub fn merge(&mut self, other: &LoadTotals) {
+        self.slots += other.slots;
+        self.load += other.load;
+        self.dropped += other.dropped;
+        self.committed += other.committed;
+        self.wakes += other.wakes;
+    }
+
+    /// Fraction of offered load dropped (0 when no load was offered).
+    pub fn drop_rate(&self) -> f64 {
+        if self.load == 0.0 {
+            0.0
+        } else {
+            self.dropped / self.load
+        }
+    }
+
+    /// Mean committed servers per slot (0 before the first slot).
+    pub fn mean_committed(&self) -> f64 {
+        if self.slots == 0 {
+            0.0
+        } else {
+            self.committed / self.slots as f64
+        }
+    }
+}
+
 /// Aggregate shard state that lives outside any tenant: the counters and
-/// load metrics a checkpoint must carry for the recovered engine to be
-/// bit-identical to the pre-crash one.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// load totals a checkpoint must carry for the recovered engine to be
+/// bit-identical to the pre-crash one. Its size is fixed, whatever the
+/// length of the stream behind it.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ShardMeta {
     /// Shard index.
     pub shard: usize,
@@ -96,8 +175,19 @@ pub struct ShardMeta {
     pub events: u64,
     /// States committed.
     pub states: u64,
-    /// Load-aware metrics accumulated by this shard.
-    pub metrics: Metrics,
+    /// Running load totals of this shard.
+    pub metrics: LoadTotals,
+}
+
+impl ShardMeta {
+    /// Fold another shard's aggregates into these (migrations carry
+    /// retired or re-partitioned shards' history this way, so fleet
+    /// totals survive a topology change).
+    pub fn merge(&mut self, other: &ShardMeta) {
+        self.events += other.events;
+        self.states += other.states;
+        self.metrics.merge(&other.metrics);
+    }
 }
 
 /// What one shard contributes to a checkpoint: every tenant snapshot plus
@@ -194,7 +284,7 @@ pub struct Shard {
     slots: Vec<Option<Tenant>>,
     /// Cold-path id → key map for the control ops that address by id.
     by_id: HashMap<String, u32>,
-    metrics: Metrics,
+    metrics: LoadTotals,
     events: u64,
     states: u64,
     store: Option<Arc<dyn Durability>>,
@@ -209,7 +299,7 @@ impl Shard {
             index,
             slots: Vec::new(),
             by_id: HashMap::new(),
-            metrics: Metrics::default(),
+            metrics: LoadTotals::default(),
             events: 0,
             states: 0,
             store: None,
@@ -324,7 +414,7 @@ impl Shard {
                 shard: self.index,
                 events: self.events,
                 states: self.states,
-                metrics: self.metrics.clone(),
+                metrics: self.metrics,
             },
         })
     }
@@ -510,32 +600,14 @@ impl Shard {
         Ok(outcome)
     }
 
-    /// Feed the scratch effect's committed slots into the load-aware
-    /// metrics. Each commit pairs a state with *its own* slot's load (they
-    /// differ under lookahead lag), using a logical-fleet model: 1 power
-    /// unit per committed server per slot, "serving" equal to the
-    /// committed state.
+    /// Add the scratch effect's committed slots to the load totals. Each
+    /// commit pairs a state with *its own* slot's load (they differ under
+    /// lookahead lag).
     fn meter(&mut self) {
         for c in &self.scratch.effect.commits {
-            let Some(load) = c.load else { continue };
-            let x = c.state;
-            self.metrics.push(SlotRecord {
-                target: x,
-                committed: x,
-                serving: x,
-                load,
-                served: load.min(x as f64),
-                dropped: (load - x as f64).max(0.0),
-                utilisation: if x > 0 {
-                    (load / x as f64).min(1.0)
-                } else {
-                    0.0
-                },
-                power: x as f64,
-                wake_energy: 0.0,
-                woken: c.ups as u32,
-                slept: c.downs as u32,
-            });
+            if let Some(load) = c.load {
+                self.metrics.record(c.state, load, c.ups as u32);
+            }
         }
     }
 
@@ -552,11 +624,11 @@ impl Shard {
             tenants: self.by_id.len(),
             events: self.events,
             states: self.states,
-            metric_slots: self.metrics.slots(),
-            total_energy: self.metrics.total_energy(),
+            metric_slots: self.metrics.slots as usize,
+            total_energy: self.metrics.committed,
             drop_rate: self.metrics.drop_rate(),
             mean_committed: self.metrics.mean_committed(),
-            total_wakes: self.metrics.total_wakes(),
+            total_wakes: self.metrics.wakes,
         }
     }
 }

@@ -218,6 +218,16 @@ fn fleet_from_value(v: &serde::Value) -> Result<FleetSpec, WireError> {
     Ok(fleet)
 }
 
+/// Decode an untrusted wire cost: well-formed *and* evaluable (see
+/// [`Cost::validate`]) — a malformed cost is this request's error, never a
+/// panic on the shard thread that would evaluate it.
+pub(crate) fn decode_cost(v: &serde::Value) -> Result<Cost, WireError> {
+    let cost = Cost::from_value(v).map_err(|e| WireError(format!("bad cost: {e}")))?;
+    cost.validate()
+        .map_err(|e| WireError(format!("bad cost: {e}")))?;
+    Ok(cost)
+}
+
 /// Parse one JSONL request line.
 pub fn parse_record(line: &str) -> Result<Record, WireError> {
     let v: serde::Value =
@@ -302,9 +312,7 @@ pub fn parse_record(line: &str) -> Result<Record, WireError> {
         "step" => {
             let id = string_field(&v, "id")?;
             let cost = match v.get("cost") {
-                Some(c) if !c.is_null() => {
-                    Some(Cost::from_value(c).map_err(|e| WireError(format!("bad cost: {e}")))?)
-                }
+                Some(c) if !c.is_null() => Some(decode_cost(c)?),
                 _ => None,
             };
             let load = v.get("load").and_then(|x| x.as_f64());

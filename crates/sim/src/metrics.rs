@@ -46,14 +46,6 @@ impl Metrics {
         self.records.len()
     }
 
-    /// Fold another accumulator into this one (slot records append in
-    /// `other`'s order). Every aggregate here is order-independent, so
-    /// merging per-shard metrics yields exact fleet totals — the engine
-    /// uses this to carry shard aggregates across a ring rebalance.
-    pub fn merge(&mut self, other: &Metrics) {
-        self.records.extend_from_slice(&other.records);
-    }
-
     /// Raw per-slot records.
     pub fn records(&self) -> &[SlotRecord] {
         &self.records

@@ -282,6 +282,58 @@ proptest! {
     }
 }
 
+/// Costs that parse but cannot be evaluated — an empty table, a padding
+/// boundary past `MAX_PADDED_STATE`, a non-finite parameter — answer a
+/// typed, sequence-numbered error in both framings instead of reaching
+/// (and panicking) the shard thread; valid costs around them step as
+/// before and the shard keeps answering.
+#[test]
+fn unevaluable_costs_are_typed_errors_in_both_framings() {
+    let lines: Vec<String> = [
+        r#"{"op":"admit","id":"t0","m":4,"beta":2.0,"policy":"lcp"}"#,
+        r#"{"op":"step","id":"t0","cost":{"Table":[]}}"#,
+        r#"{"op":"step","id":"t0","cost":{"Padded":{"m_orig":4294967295,"eps":1.0,"inner":"Zero"}}}"#,
+        r#"{"op":"step","id":"t0","cost":{"Scaled":{"factor":2.0,"inner":{"Table":[]}}},"load":1.0}"#,
+        r#"{"op":"step","id":"t0","cost":{"Table":[1.0,0.5,2.0]}}"#,
+        r#"{"op":"step","id":"t0","cost":{"Padded":{"m_orig":2,"eps":0.5,"inner":{"Abs":{"slope":1.0,"center":1.0}}}}}"#,
+        r#"{"op":"step","id":"t0","cost":{"Const":1e999}}"#,
+        r#"{"op":"stats"}"#,
+    ]
+    .map(String::from)
+    .to_vec();
+    let mut jsonl = ephemeral_session();
+    let want = jsonl.handle_lines(lines.iter().map(|s| s.as_str()));
+    let (got, _session) = serve_binary(ephemeral_session(), &transcode(&lines), 7);
+    assert_eq!(want.len(), lines.len(), "{want:?}");
+    // The binary client re-serializes the parsed cost, and JSON has no
+    // infinity: `1e999` reaches the server as `null`, a decode error of
+    // its own. Every other reply is byte-identical.
+    assert_eq!(got.len(), want.len(), "{got:?}");
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        if i != 6 {
+            assert_eq!(g, w);
+        }
+    }
+    for (i, reply) in want.iter().enumerate() {
+        let line = i + 1;
+        match line {
+            2..=4 | 7 => {
+                for r in [reply, &got[i]] {
+                    assert!(
+                        r.starts_with(&format!(r#"{{"op":"error","line":{line},"#))
+                            && r.contains("bad cost"),
+                        "line {line}: {r}"
+                    );
+                }
+            }
+            5 | 6 => assert!(reply.starts_with(r#"{"op":"stepped""#), "{reply}"),
+            _ => {}
+        }
+    }
+    assert!(want[6].contains("must be finite"), "{}", want[6]);
+    assert!(want[7].contains(r#""events":2"#), "{}", want[7]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(heavy_cases(512)))]
 
